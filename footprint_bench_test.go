@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"uniint/internal/metrics"
 	"uniint/internal/sched"
 	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
@@ -18,7 +19,11 @@ import (
 // numbers — bytes/session is dominated by the wire model's shadow
 // framebuffer (w·h·4), goroutines/session is pinned at zero by the CI
 // baseline (any per-session goroutine anywhere in the attach path fails the
-// gate, since the baseline admits no headroom above 0).
+// gate, since the baseline admits no headroom above 0). parked-bytes/session
+// is what the same fleet costs once disconnected: lot_parked_bytes ÷
+// session_parked over a parked fleet, measured once outside the timed
+// loop. A parked session holds its bookkeeping only, not a framebuffer,
+// so its ceiling is a few hundred bytes.
 // goroutineFlickerSlack is the absolute goroutine-count noise one sample
 // may carry (see the delta computation below).
 const goroutineFlickerSlack = 8
@@ -71,8 +76,34 @@ func BenchmarkSessionFootprint(b *testing.B) {
 		}
 		waitRetired(b, srv)
 	}
+	b.StopTimer()
 	b.ReportMetric(bytesPer/float64(b.N), "bytes/session")
 	b.ReportMetric(goroutinesPer/float64(b.N), "goroutines/session")
+	b.ReportMetric(parkedBytesPerSession(b, fleet, pool), "parked-bytes/session")
+}
+
+// parkedBytesPerSession parks a fleet of n idle sessions on a fresh server
+// and returns the lot's resident bytes per parked session.
+func parkedBytesPerSession(b *testing.B, n int, pool *sched.Pool) float64 {
+	b.Helper()
+	srv := uniserver.New(toolkit.NewDisplay(64, 48), "footprint-parked",
+		uniserver.WithPool(pool), uniserver.WithParkCapacity(n))
+	defer srv.Close()
+	bytes := metrics.Default().Gauge("lot_parked_bytes")
+	parked := metrics.Default().Gauge("session_parked")
+	b0, p0 := bytes.Value(), parked.Value()
+	clients, err := workload.IdleFleet(n, func(conn net.Conn) error { return srv.AttachEdge(conn, nil) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	waitRetired(b, srv)
+	if got := srv.Parked(); got != n {
+		b.Fatalf("parked %d of %d sessions", got, n)
+	}
+	return float64(bytes.Value()-b0) / float64(parked.Value()-p0)
 }
 
 // heapInUse returns live heap bytes after a full collection, so fleet

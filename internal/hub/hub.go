@@ -77,7 +77,7 @@ type entry struct {
 
 	refs     atomic.Int64 // connections currently routed to the home
 	lastUsed atomic.Int64 // unix nanos of last admission/route/disconnect
-	evicted  atomic.Bool  // set once, under the owning shard's mutex
+	evicted  atomic.Bool  // written only under the owning shard's mutex
 }
 
 func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
@@ -310,20 +310,10 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 		if e == nil { // evicted between Admit and lookup; re-admit
 			continue
 		}
-		// Pin before checking the flags. conns.Add precedes the closed
-		// check, so any pin that observes closed==false is ordered before
-		// Close's store of closed — Close's connection wait (which starts
-		// after that store) cannot read zero while this pin is live. A
-		// plain atomic counter, unlike sync.WaitGroup, tolerates a late
-		// pin racing the wait: it just bounces off the flag check below.
-		e.refs.Add(1)
-		h.conns.Add(1)
-		if e.evicted.Load() || h.closed.Load() {
-			h.conns.Add(-1)
-			e.refs.Add(-1)
-			if h.closed.Load() {
+		if err := h.pin(e); err != nil {
+			if err == ErrClosed {
 				conn.Close()
-				return ErrClosed
+				return err
 			}
 			continue // lost to a concurrent eviction; re-admit
 		}
@@ -339,6 +329,46 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 	}
 	conn.Close()
 	return fmt.Errorf("%w: %s (admission/eviction livelock)", ErrUnknownHome, id)
+}
+
+// errEvicted reports that pin lost its entry to an eviction.
+var errEvicted = errors.New("hub: home evicted")
+
+// pin holds e against eviction for one connection, or fails with
+// ErrClosed or errEvicted (the caller re-admits). It pins before checking
+// the flags. conns.Add precedes the closed check, so any pin that
+// observes closed==false is ordered before Close's store of closed —
+// Close's connection wait (which starts after that store) cannot read
+// zero while this pin is live. A plain atomic counter, unlike
+// sync.WaitGroup, tolerates a late pin racing the wait: it just bounces
+// off the flag check.
+//
+// Evict and Release raise the eviction flag for a moment, under the shard
+// mutex, even when they then back off (the home is pinned or parks a
+// session). A flag seen without the mutex may be such a transient one, so
+// pin re-reads it under the mutex: there it is up only for an entry that
+// really left the registry. Treating a transient flag as an eviction
+// would let a tight eviction loop bounce a connection off a home that
+// never went away.
+func (h *Hub) pin(e *entry) error {
+	e.refs.Add(1)
+	h.conns.Add(1)
+	evicted := e.evicted.Load()
+	if evicted {
+		sh := h.shardFor(e.id)
+		sh.mu.Lock()
+		evicted = e.evicted.Load()
+		sh.mu.Unlock()
+	}
+	if evicted || h.closed.Load() {
+		h.conns.Add(-1)
+		e.refs.Add(-1)
+		if h.closed.Load() {
+			return ErrClosed
+		}
+		return errEvicted
+	}
+	return nil
 }
 
 // AttachEdge admits (if needed) the home for id and attaches one
@@ -358,14 +388,10 @@ func (h *Hub) AttachEdge(id string, conn net.Conn) error {
 		if e == nil { // evicted between Admit and lookup; re-admit
 			continue
 		}
-		e.refs.Add(1)
-		h.conns.Add(1)
-		if e.evicted.Load() || h.closed.Load() {
-			h.conns.Add(-1)
-			e.refs.Add(-1)
-			if h.closed.Load() {
+		if err := h.pin(e); err != nil {
+			if err == ErrClosed {
 				conn.Close()
-				return ErrClosed
+				return err
 			}
 			continue
 		}

@@ -27,9 +27,9 @@ func edgeHandshake(t *testing.T, token string, ex TokenExchange) (*netsim.EventC
 
 func TestEdgeHandshake(t *testing.T) {
 	var presented string
-	client, sc := edgeHandshake(t, "tok-123", func(p string) (string, bool) {
+	client, sc := edgeHandshake(t, "tok-123", func(p string) (string, bool, gfx.PixelFormat) {
 		presented = p
-		return "issued-456", true
+		return "issued-456", true, gfx.PF8()
 	})
 	if presented != "tok-123" {
 		t.Fatalf("presented token %q", presented)
@@ -37,9 +37,36 @@ func TestEdgeHandshake(t *testing.T) {
 	if sc.Token() != "issued-456" || !sc.Resumed() {
 		t.Fatalf("token %q resumed %v", sc.Token(), sc.Resumed())
 	}
-	// The client end holds the server's complete handshake output.
-	if client.Buffered() == 0 {
-		t.Fatal("no server handshake bytes delivered")
+	// A resume encodes in the parked format from the first update on.
+	if sc.PixelFormat() != gfx.PF8() {
+		t.Fatalf("resumed session format %+v, want PF8", sc.PixelFormat())
+	}
+	// The client end holds the server's complete handshake output, and
+	// ServerInit (after version and security) announces the parked format.
+	hs := make([]byte, 64)
+	n, _ := client.ReadAvailable(hs)
+	if n < 36 {
+		t.Fatalf("server handshake of %d bytes", n)
+	}
+	if pf := pixelFormatFrom(hs[20:36]); pf != gfx.PF8() {
+		t.Fatalf("ServerInit announces %+v, want PF8", pf)
+	}
+}
+
+func TestEdgeHandshakeFreshKeepsDefaultFormat(t *testing.T) {
+	// Only a resume adopts the exchanged format; a fresh session, or a
+	// resume offering an invalid format, starts in the server default.
+	for _, resumed := range []bool{false, true} {
+		pf := gfx.PF16()
+		if resumed {
+			pf = gfx.PixelFormat{BitsPerPixel: 24}
+		}
+		_, sc := edgeHandshake(t, "", func(string) (string, bool, gfx.PixelFormat) {
+			return "t", resumed, pf
+		})
+		if sc.PixelFormat() != gfx.PF32() {
+			t.Fatalf("resumed=%v: format %+v, want PF32", resumed, sc.PixelFormat())
+		}
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 
 // Session migration record. Federation ships a parked session between
 // hub nodes as one self-contained byte blob: everything the detach lot
-// holds for an absent client — the compressed shadow framebuffer, the
-// resume token, accumulated damage, the parked update request, and the
+// holds for an absent client — the resume token, the negotiated pixel
+// format, accumulated damage, the parked update request, and the
 // queued-but-undispatched input — in a versioned big-endian layout
-// (documented in docs/WIRE.md). The record deliberately reuses the wire
-// protocol's own codecs (the 16-byte pixel-format block, the PackedShadow
-// zlib stream) so migration cannot drift from what the session would have
-// sent a client.
+// (documented in docs/WIRE.md). The record reuses the wire protocol's
+// own 16-byte pixel-format block, so migration cannot drift from what
+// the session announces to a client.
 
 // Migration record framing constants (layout in docs/WIRE.md).
 const (
@@ -23,14 +22,17 @@ const (
 	MigMagic = "UNIMIG/1"
 	// MigFlagPending marks a parked update request present in the record.
 	MigFlagPending = 1 << 0
-	// MigFlagPF marks a client-negotiated pixel format (PFSet).
+	// MigFlagPF marks the pixel-format block as meaningful. Encode always
+	// sets it; a record without it decodes to the server default (PF32).
 	MigFlagPF = 1 << 1
 	// MigFlagIncremental carries the parked request's incremental bit.
 	MigFlagIncremental = 1 << 2
-	// MigFlagDict marks the shadow stream as compressed against the PF32
-	// preset dictionary (PackedShadow's dict bit).
+	// MigFlagDict is legacy: it marked a shadow stream compressed
+	// against the PF32 preset dictionary. Decode ignores it.
 	MigFlagDict = 1 << 3
-	// MigFlagShadow marks a shadow framebuffer stream present.
+	// MigFlagShadow is legacy: it marks a trailing shadow framebuffer
+	// stream, which Decode bounds-checks and discards. Encode never
+	// writes one.
 	MigFlagShadow = 1 << 4
 	// MigEventKey tags a queued key event (payload: down u8, keysym u32).
 	MigEventKey = 1
@@ -62,12 +64,9 @@ type MigrationRecord struct {
 	Token string
 	// W, H are the session geometry (resume requires a geometry match).
 	W, H int
-	// PF is the client-negotiated pixel format; meaningful when PFSet.
-	PF    gfx.PixelFormat
-	PFSet bool
-	// Shadow is the compressed shadow framebuffer (nil only for a
-	// session that never painted).
-	Shadow *PackedShadow
+	// PF is the pixel format the session had negotiated; the resumed
+	// session announces it in ServerInit.
+	PF gfx.PixelFormat
 	// Dirty is the damage accumulated while parked.
 	Dirty []gfx.Rect
 	// Pending is the update request the client parked with; meaningful
@@ -118,27 +117,21 @@ func (m *MigrationRecord) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("rfb: migration record: too much parked state (%d rects, %d events)",
 			len(m.Dirty), len(m.Events))
 	}
-	var flags byte
+	// The format always travels: a record built without a valid one (a
+	// session that never negotiated) carries the server default.
+	pf := m.PF
+	if !pf.Valid() {
+		pf = gfx.PF32()
+	}
+	flags := byte(MigFlagPF)
 	if m.HasPending {
 		flags |= MigFlagPending
-	}
-	if m.PFSet {
-		flags |= MigFlagPF
 	}
 	if m.HasPending && m.Pending.Incremental {
 		flags |= MigFlagIncremental
 	}
-	if m.Shadow != nil {
-		flags |= MigFlagShadow
-		if m.Shadow.dict {
-			flags |= MigFlagDict
-		}
-	}
 	size := len(MigMagic) + 3 + len(m.Token) + 4 + 16 + 8 + 8 +
 		2 + 8*len(m.Dirty) + 2 + 6*len(m.Events)
-	if m.Shadow != nil {
-		size += 8 + len(m.Shadow.comp)
-	}
 	b := make([]byte, 0, size)
 	b = append(b, MigMagic...)
 	b = append(b, flags, m.LastPtrMask, byte(len(m.Token)))
@@ -146,18 +139,18 @@ func (m *MigrationRecord) Encode() ([]byte, error) {
 	b = appendU16(b, uint16(m.W))
 	b = appendU16(b, uint16(m.H))
 	var pfb [16]byte
-	pfb[0] = m.PF.BitsPerPixel
-	pfb[1] = m.PF.Depth
-	if m.PF.BigEndian {
+	pfb[0] = pf.BitsPerPixel
+	pfb[1] = pf.Depth
+	if pf.BigEndian {
 		pfb[2] = 1
 	}
-	if m.PF.TrueColor {
+	if pf.TrueColor {
 		pfb[3] = 1
 	}
-	be.PutUint16(pfb[4:], m.PF.RedMax)
-	be.PutUint16(pfb[6:], m.PF.GreenMax)
-	be.PutUint16(pfb[8:], m.PF.BlueMax)
-	pfb[10], pfb[11], pfb[12] = m.PF.RedShift, m.PF.GreenShift, m.PF.BlueShift
+	be.PutUint16(pfb[4:], pf.RedMax)
+	be.PutUint16(pfb[6:], pf.GreenMax)
+	be.PutUint16(pfb[8:], pf.BlueMax)
+	pfb[10], pfb[11], pfb[12] = pf.RedShift, pf.GreenShift, pf.BlueShift
 	b = append(b, pfb[:]...)
 	b = appendU32(b, clampMS(m.RemainingTTL))
 	b = appendU32(b, clampMS(m.DetachedFor))
@@ -192,11 +185,6 @@ func (m *MigrationRecord) Encode() ([]byte, error) {
 			b = appendU32(b, ev.Key.Key)
 		}
 	}
-	if m.Shadow != nil {
-		b = appendU32(b, uint32(m.Shadow.raw))
-		b = appendU32(b, uint32(len(m.Shadow.comp)))
-		b = append(b, m.Shadow.comp...)
-	}
 	return b, nil
 }
 
@@ -207,7 +195,7 @@ type migDecoder struct {
 }
 
 func (d *migDecoder) need(n int) ([]byte, error) {
-	if len(d.b)-d.off < n {
+	if n < 0 || len(d.b)-d.off < n {
 		return nil, fmt.Errorf("rfb: migration record truncated at offset %d (need %d bytes)", d.off, n)
 	}
 	s := d.b[d.off : d.off+n]
@@ -232,7 +220,9 @@ func (d *migDecoder) u32() (uint32, error) {
 }
 
 // DecodeMigration parses an encoded migration record, validating framing
-// and rejecting trailing bytes.
+// and the pixel format, and rejecting trailing bytes. A legacy shadow
+// stream (MigFlagShadow, written by older nodes) is bounds-checked and
+// discarded: a resumed session repaints before it trusts any shadow.
 func DecodeMigration(b []byte) (*MigrationRecord, error) {
 	d := &migDecoder{b: b}
 	magic, err := d.need(len(MigMagic))
@@ -257,7 +247,6 @@ func DecodeMigration(b []byte) (*MigrationRecord, error) {
 	m := &MigrationRecord{
 		Token:       string(tok),
 		LastPtrMask: lastMask,
-		PFSet:       flags&MigFlagPF != 0,
 		HasPending:  flags&MigFlagPending != 0,
 	}
 	w, err := d.u16()
@@ -273,7 +262,14 @@ func DecodeMigration(b []byte) (*MigrationRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.PF = pixelFormatFrom(pfb)
+	m.PF = gfx.PF32()
+	if flags&MigFlagPF != 0 {
+		// The format reaches ServerInit on resume: reject what a client
+		// could never have negotiated.
+		if m.PF = pixelFormatFrom(pfb); !m.PF.Valid() {
+			return nil, fmt.Errorf("rfb: migration record: invalid pixel format %+v", m.PF)
+		}
+	}
 	ttl, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -344,24 +340,16 @@ func DecodeMigration(b []byte) (*MigrationRecord, error) {
 		}
 	}
 	if flags&MigFlagShadow != 0 {
-		raw, err := d.u32()
+		// Legacy section: raw size u32, stream length u32, stream.
+		if _, err := d.u32(); err != nil {
+			return nil, err
+		}
+		n, err := d.u32()
 		if err != nil {
 			return nil, err
 		}
-		compLen, err := d.u32()
-		if err != nil {
+		if _, err := d.need(int(n)); err != nil {
 			return nil, err
-		}
-		comp, err := d.need(int(compLen))
-		if err != nil {
-			return nil, err
-		}
-		m.Shadow = &PackedShadow{
-			w: m.W, h: m.H,
-			pf: m.PF, pfSet: m.PFSet,
-			dict: flags&MigFlagDict != 0,
-			comp: append([]byte(nil), comp...),
-			raw:  int(raw),
 		}
 	}
 	if d.off != len(b) {

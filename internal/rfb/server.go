@@ -30,8 +30,13 @@ type ServerHandler interface {
 // (empty for a fresh session) into the token the session will carry and
 // whether the connection reclaims a parked server-side session. It runs
 // during the handshake, between ClientInit and ServerInit, so the
-// resolution is visible to the client in the same round trip.
-type TokenExchange func(presented string) (issued string, resumed bool)
+// resolution is visible to the client in the same round trip. For a
+// resume, pf is the pixel format the parked session had negotiated:
+// ServerInit announces it and the session encodes in it from the first
+// update, so a resync that ships before the client repeats its
+// SetPixelFormat already arrives in the client's own format. An invalid
+// pf keeps the server default.
+type TokenExchange func(presented string) (issued string, resumed bool, pf gfx.PixelFormat)
 
 // MaxTokenLen bounds the resume token carried in the handshake (one
 // length byte on the wire).
@@ -183,9 +188,13 @@ func (s *ServerConn) handshakeWire(bw *bufio.Writer, ex TokenExchange) error {
 		presented = string(tok)
 	}
 	if ex != nil {
-		s.token, s.resumed = ex(presented)
+		var pf gfx.PixelFormat
+		s.token, s.resumed, pf = ex(presented)
 		if len(s.token) > MaxTokenLen {
 			return fmt.Errorf("rfb: issued token of %d bytes: %w", len(s.token), ErrBadMessage)
+		}
+		if s.resumed && pf.Valid() {
+			s.pf = pf
 		}
 	}
 	// ServerInit.

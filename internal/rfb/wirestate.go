@@ -12,12 +12,13 @@ import (
 // every encoded rectangle into it, keeping the model exact as long as the
 // prepared updates are sent in order.
 //
-// A WireState belongs to one session and is not safe for concurrent use;
-// the session's writer goroutine owns it. It survives detach/resume with
-// the session (parked alongside the dirty state), but Reset must be called
-// whenever the client's actual state diverges from the model: on resume
-// (the reconnecting client has a fresh tile memory), after an encode error,
-// and after a failed send.
+// A WireState belongs to one connection and is not safe for concurrent
+// use; the session's writer goroutine owns it. It is not parked with a
+// detached session: a resume starts from a fresh WireState. Reset must be
+// called whenever the client's actual state diverges from the model: on
+// resume (the reconnecting client's screen is not the fresh black shadow,
+// and its tile memory is empty), after an encode error, and after a failed
+// send.
 type WireState struct {
 	shadow *gfx.Framebuffer
 	valid  bool // shadow == client framebuffer
@@ -41,9 +42,8 @@ func NewWireState(cache *TileCache, w, h int) *WireState {
 // Reset discards every assumption about the client: the tile window is
 // cleared (subsequent tiles re-install) and the shadow is distrusted until
 // a rectangle covering the full framebuffer ships again (no CopyRect until
-// then). The shadow pixels themselves are kept — only their validity flag
-// drops — so a parked session's shadow still seeds the next comparison
-// after the revalidating repaint.
+// then). The shadow pixels are never read while distrusted; the
+// revalidating repaint overwrites every one of them.
 func (ws *WireState) Reset() {
 	ws.valid = false
 	ws.win.init()

@@ -91,7 +91,7 @@ func (p *Pool) NewTask(fn func()) *Task {
 }
 
 // Go runs fn once on the pool — the one-shot convenience for work that is
-// not a recurring session turn (park compression, deferred teardown).
+// not a recurring session turn.
 func (p *Pool) Go(fn func()) {
 	p.NewTask(fn).Kick()
 }

@@ -63,18 +63,8 @@ func (s *Server) AttachEdge(conn net.Conn, onClose func()) error {
 	w, h := s.display.Size()
 	routeStart, routeEnd, _ := trace.RouteSpan(conn)
 	var reclaimed *parkedSession
-	ex := func(presented string) (string, bool) {
-		if s.parkTTL > 0 && presented != "" {
-			if ps := s.claimParked(presented, w, h); ps != nil {
-				reclaimed = ps
-				return presented, true
-			}
-			mSessResumeMiss.Inc()
-		}
-		return newSessionToken(), false
-	}
 	hsTimer := sched.Shared().AfterFunc(HandshakeTimeout, func() { conn.Close() })
-	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, ex)
+	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, s.exchange(w, h, &reclaimed))
 	hsTimer.Stop()
 	if err != nil {
 		if reclaimed != nil {

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"time"
+	"unsafe"
 
 	"uniint/internal/gfx"
 	"uniint/internal/metrics"
@@ -39,13 +40,10 @@ var (
 )
 
 // Parked-memory accounting: lot_parked_bytes is the resident size of every
-// parked session's shadow state (raw while freshly parked, deflated once
-// the compression turn lands); lot_parked_bytes_compressed is the portion
-// held cold. Both move under lotMu wherever entries enter or leave.
-var (
-	mLotParkedBytes     = metrics.Default().Gauge("lot_parked_bytes")
-	mLotParkedBytesComp = metrics.Default().Gauge("lot_parked_bytes_compressed")
-)
+// parked entry's own state — the entry itself, its dirty rects, queued
+// events and token — measured when the entry enters the lot. It moves
+// under lotMu wherever entries enter or leave.
+var mLotParkedBytes = metrics.Default().Gauge("lot_parked_bytes")
 
 // Default detach-lot policy: how long a disconnected session waits for
 // its owner to return, and how many may wait per server. Both are
@@ -56,7 +54,9 @@ const (
 	DefaultParkCapacity = 64
 )
 
-// parkedSession is one disconnected session waiting in the lot.
+// parkedSession is one disconnected session waiting in the lot. It holds
+// no wire model: the resumed session starts a fresh one, distrusted until
+// its first full repaint, so a parked shadow would never be read.
 type parkedSession struct {
 	token   string
 	w, h    int  // session geometry at detach; must still match to resume
@@ -68,15 +68,8 @@ type parkedSession struct {
 	hasPending  bool
 	events      []inputEvent // undispatched input at detach, replayed on resume
 	lastPtrMask uint8
-	ws          *rfb.WireState // wire model; Reset (not rebuilt) on resume
-
-	// Cold storage: a pool turn deflates the shadow shortly after parking
-	// (compressParked), replacing ws with packed. compressing is non-nil
-	// while that turn is reading ws off-lock; a claim landing mid-pack
-	// waits on it so the resumed session never races the snapshot read.
-	// All three fields are guarded by lotMu.
-	packed      *rfb.PackedShadow
-	compressing chan struct{}
+	pf          gfx.PixelFormat // negotiated format, announced on resume
+	bytes       int64           // lot_parked_bytes contribution
 
 	// migrated marks an entry installed by ImportParked — its resume's
 	// first shipped update is the federation resync, counted into
@@ -87,26 +80,43 @@ type parkedSession struct {
 	deadline time.Time
 }
 
-// residentBytes returns the lot-gauge contribution of ps: resident bytes
-// and the compressed portion. Call with lotMu held.
-func (ps *parkedSession) residentBytes() (resident, compressed int64) {
-	if ps.packed != nil {
-		n := int64(ps.packed.CompressedBytes())
-		return n, n
+// parkLocked inserts ps into the lot and its gauges. A full lot first
+// gives up its oldest unclaimed entry, which parkLocked returns for the
+// caller to settle with expire once lotMu is released. Claimed entries
+// are mid-handshake and about to leave the lot on their own; evicting one
+// would strand its resume. lotMu must be held.
+func (s *Server) parkLocked(ps *parkedSession) (evicted *parkedSession) {
+	if s.lot == nil {
+		s.lot = make(map[string]*parkedSession)
 	}
-	if ps.ws != nil {
-		return int64(ps.ws.ShadowBytes()), 0
+	if len(s.lot) >= s.parkCap {
+		for _, e := range s.lot {
+			if !e.claimed && (evicted == nil || e.parkedAt.Before(evicted.parkedAt)) {
+				evicted = e
+			}
+		}
+		if evicted != nil {
+			s.unparkLocked(evicted)
+		}
 	}
-	return 0, 0
+	s.lot[ps.token] = ps
+	// The footprint is measured once, on entry, so the matching unpark
+	// subtracts the same figure however much damage lands meanwhile.
+	ps.bytes = int64(unsafe.Sizeof(*ps)+unsafe.Sizeof(*ps.dirty)) +
+		int64(len(ps.token)) +
+		int64(len(ps.dirty.Peek())+cap(ps.dirtySpare))*int64(unsafe.Sizeof(gfx.Rect{})) +
+		int64(cap(ps.events))*int64(unsafe.Sizeof(inputEvent{}))
+	mLotParkedBytes.Add(ps.bytes)
+	mSessParkedNow.Inc()
+	s.scheduleSweepLocked(ps.deadline)
+	return evicted
 }
 
-// lotBytesAdd moves the parked-memory gauges by sign×ps's current
-// footprint. Call with lotMu held, at every lot insert (+1) and remove
-// (-1).
-func lotBytesAdd(ps *parkedSession, sign int64) {
-	r, c := ps.residentBytes()
-	mLotParkedBytes.Add(sign * r)
-	mLotParkedBytesComp.Add(sign * c)
+// unparkLocked removes ps from the lot and its gauges. lotMu must be held.
+func (s *Server) unparkLocked(ps *parkedSession) {
+	delete(s.lot, ps.token)
+	mLotParkedBytes.Add(-ps.bytes)
+	mSessParkedNow.Dec()
 }
 
 // newSessionToken issues an opaque 96-bit resume token. Token space is
@@ -123,8 +133,8 @@ func newSessionToken() string {
 // claimParked marks the parked session for token as claimed and returns
 // it, or nil when the token is unknown, already claimed, expired, or
 // parked with a different geometry (the display resized while detached —
-// the shadow framebuffer the client kept no longer matches, so the
-// resume must fail into a fresh session and full repaint).
+// the framebuffer the client kept no longer matches, so the resume must
+// fail into a fresh session and full repaint).
 //
 // The entry STAYS in the lot, still accumulating pump damage, until the
 // handshake completes and the new session atomically takes its place
@@ -140,23 +150,13 @@ func (s *Server) claimParked(token string, w, h int) *parkedSession {
 		return nil
 	}
 	if now.After(ps.deadline) || ps.w != w || ps.h != h {
-		delete(s.lot, token)
-		mSessParkedNow.Dec()
-		lotBytesAdd(ps, -1)
+		s.unparkLocked(ps)
 		s.lotMu.Unlock()
 		s.expire(ps, now)
 		return nil
 	}
 	ps.claimed = true
-	packing := ps.compressing
 	s.lotMu.Unlock()
-	if packing != nil {
-		// A compression turn is mid-read on the shadow this claim is about
-		// to hand to a live session. Wait it out (it is bounded CPU work);
-		// claimed is already set, so its install check will discard the
-		// snapshot and the resume proceeds on the uncompressed state.
-		<-packing
-	}
 	return ps
 }
 
@@ -165,9 +165,7 @@ func (s *Server) claimParked(token string, w, h int) *parkedSession {
 // was drained underneath the claim (server shutdown).
 func (s *Server) releaseClaim(ps *parkedSession) {
 	s.lotMu.Lock()
-	back := s.lot[ps.token] == ps
-	repack := back && ps.packed == nil
-	if back {
+	if s.lot[ps.token] == ps {
 		ps.claimed = false
 		// The janitor skips claimed entries (and may have disarmed while
 		// this one was the only resident): re-arm for its deadline so a
@@ -175,11 +173,6 @@ func (s *Server) releaseClaim(ps *parkedSession) {
 		s.scheduleSweepLocked(ps.deadline)
 	}
 	s.lotMu.Unlock()
-	if repack {
-		// The claim that aborted the first compression turn fell through;
-		// the entry is waiting out its TTL again, so re-freeze it.
-		s.pool.Go(func() { s.compressParked(ps) })
-	}
 }
 
 // expire settles the accounting for a parked session that will never be
@@ -222,9 +215,7 @@ func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
 			s.mu.Unlock()
 			return false
 		}
-		delete(s.lot, reclaimed.token)
-		mSessParkedNow.Dec()
-		lotBytesAdd(reclaimed, -1)
+		s.unparkLocked(reclaimed)
 		s.lotMu.Unlock()
 		sess.adopt(reclaimed)
 		mSessResumed.Inc()
@@ -261,10 +252,14 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	}
 
 	// The outbox holds damage a request already claimed but the writer
-	// never shipped (or shipped into a dying transport): fold it back
-	// into the dirty set so the resync re-covers it.
+	// never shipped; unacked holds what the writer shipped after the last
+	// request it read, which a dying transport may have swallowed. Fold
+	// both back into the dirty set so the resync re-covers them.
 	sess.mu.Lock()
 	for _, r := range sess.outbox.TakeInto(nil) {
+		sess.dirty.Add(r)
+	}
+	for _, r := range sess.unacked {
 		sess.dirty.Add(r)
 	}
 	now := time.Now()
@@ -278,7 +273,7 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 		hasPending:  sess.hasPending,
 		events:      events,
 		lastPtrMask: sess.lastPtrMask,
-		ws:          sess.ws,
+		pf:          sess.conn.PixelFormat(),
 		parkedAt:    now,
 		deadline:    now.Add(s.parkTTL),
 	}
@@ -286,73 +281,15 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	sess.dirtySpare = nil
 
 	s.lotMu.Lock()
-	if s.lot == nil {
-		s.lot = make(map[string]*parkedSession)
-	}
-	// Capacity: expire the oldest unclaimed entry. Claimed entries are
-	// mid-handshake and about to leave the lot on their own; evicting
-	// one would strand its resume.
-	var oldest *parkedSession
-	if len(s.lot) >= s.parkCap {
-		for _, e := range s.lot {
-			if !e.claimed && (oldest == nil || e.parkedAt.Before(oldest.parkedAt)) {
-				oldest = e
-			}
-		}
-		if oldest != nil {
-			delete(s.lot, oldest.token)
-			mSessParkedNow.Dec()
-			lotBytesAdd(oldest, -1)
-		}
-	}
-	s.lot[ps.token] = ps
-	lotBytesAdd(ps, +1)
-	s.scheduleSweepLocked(ps.deadline)
+	evicted := s.parkLocked(ps)
 	s.lotMu.Unlock()
 	sess.mu.Unlock()
 
-	if oldest != nil {
-		s.expire(oldest, now)
+	if evicted != nil {
+		s.expire(evicted, now)
 	}
 	mSessParked.Inc()
-	mSessParkedNow.Inc()
-	// Freeze the parked state cold off the critical path: a pool turn
-	// deflates the shadow and swaps it in, unless a claim gets there
-	// first. (On a closing pool the turn simply never runs; the raw state
-	// stays resident until the lot drains.)
-	s.pool.Go(func() { s.compressParked(ps) })
 	return true
-}
-
-// compressParked is the pool turn that moves one parked session's shadow
-// into cold storage. It reads the WireState outside lotMu (packing is
-// bounded but not trivial CPU work), then installs the packed form only
-// if the entry is still parked and unclaimed — a claim that lands mid-
-// pack wins, waits for the read to finish (claimParked), and resumes on
-// the uncompressed state.
-func (s *Server) compressParked(ps *parkedSession) {
-	s.lotMu.Lock()
-	if s.lot[ps.token] != ps || ps.claimed || ps.ws == nil {
-		s.lotMu.Unlock()
-		return
-	}
-	done := make(chan struct{})
-	ps.compressing = done
-	ws := ps.ws
-	s.lotMu.Unlock()
-
-	packed, err := ws.Pack()
-
-	s.lotMu.Lock()
-	ps.compressing = nil
-	if err == nil && s.lot[ps.token] == ps && !ps.claimed {
-		lotBytesAdd(ps, -1)
-		ps.ws = nil
-		ps.packed = packed
-		lotBytesAdd(ps, +1)
-	}
-	s.lotMu.Unlock()
-	close(done)
 }
 
 // adopt seeds a fresh session with reclaimed parked state. It runs before
@@ -364,25 +301,10 @@ func (c *session) adopt(ps *parkedSession) {
 	c.hasPending = ps.hasPending
 	c.lastPtrMask = ps.lastPtrMask
 	c.fedResync = ps.migrated
-	if ps.ws == nil && ps.packed != nil {
-		// The shadow went cold while parked: thaw it. A decode failure
-		// (impossible short of memory corruption) falls back to the fresh
-		// WireState the session was built with — the resync degrades to a
-		// full repaint instead of failing the resume.
-		if ws, err := ps.packed.Unpack(c.srv.tiles); err == nil {
-			ps.ws = ws
-		}
-	}
-	if ps.ws != nil {
-		// Reuse the parked wire model's storage, but distrust its content:
-		// the reconnecting client's tile memory is fresh (tile memory does
-		// not survive a reconnect, only the shadow framebuffer does — and
-		// whether the client actually adopted its old shadow is unknowable
-		// here), so the tile window clears and CopyRect stays off until a
-		// full repaint revalidates the shadow.
-		c.ws = ps.ws
-		c.ws.Reset()
-	}
+	// The fresh wire model assumes a black client screen; the resumed
+	// client shows whatever it kept from before the detach. Distrust the
+	// model, so CopyRect stays off until a full repaint revalidates it.
+	c.ws.Reset()
 	// Traced events that sat out the detach window get a park span —
 	// detach to reclaim — under their own id, so the gap between their
 	// queue enqueue and eventual dispatch is explained in the export.
@@ -425,14 +347,12 @@ func (s *Server) sweepLot() {
 	var expired []*parkedSession
 	s.lotMu.Lock()
 	var next time.Time
-	for tok, ps := range s.lot {
+	for _, ps := range s.lot {
 		if ps.claimed {
 			continue
 		}
 		if now.After(ps.deadline) {
-			delete(s.lot, tok)
-			mSessParkedNow.Dec()
-			lotBytesAdd(ps, -1)
+			s.unparkLocked(ps)
 			expired = append(expired, ps)
 			continue
 		}
@@ -466,13 +386,10 @@ func (s *Server) drainLot() {
 		s.lotTimer.Stop()
 		s.lotTimer = nil
 	}
-	lot := s.lot
-	s.lot = nil
-	if n := len(lot); n > 0 {
-		mSessParkedNow.Add(int64(-n))
-		for _, ps := range lot {
-			lotBytesAdd(ps, -1)
-		}
+	lot := make([]*parkedSession, 0, len(s.lot))
+	for _, ps := range s.lot {
+		lot = append(lot, ps)
+		s.unparkLocked(ps)
 	}
 	s.lotMu.Unlock()
 	for _, ps := range lot {

@@ -11,19 +11,19 @@ import (
 )
 
 // Session migration is the lot's federation surface: a parked session is
-// already a small self-contained object (compressed shadow + resume token
-// + queued input + parked request), so moving a home between hub nodes is
-// export here, a byte blob on the wire, import there. The exported entry
-// leaves this lot permanently — it is counted migrated-out, the target
-// counts it migrated-in, and the pair keeps the process-wide lot
-// accounting invariant (lot.go) balanced.
+// already a small self-contained object (resume token, negotiated pixel
+// format, accumulated damage, queued input, parked request), so moving a
+// home between hub nodes is export here, a byte blob on the wire, import
+// there. The exported entry leaves this lot permanently — it is counted
+// migrated-out, the target counts it migrated-in, and the pair keeps the
+// process-wide lot accounting invariant (lot.go) balanced.
 var (
 	mSessMigratedOut = metrics.Default().Counter("session_migrated_out_total")
 	mSessMigratedIn  = metrics.Default().Counter("session_migrated_in_total")
 	// fed_resync_bytes_total sums the first update shipped to each client
 	// that resumed a MIGRATED session — the wire cost of catching a
 	// shipped session up, which stays incremental (far below a full
-	// repaint) when migration preserved the shadow correctly.
+	// repaint) when migration preserved the parked damage correctly.
 	mFedResyncBytes = metrics.Default().Counter("fed_resync_bytes_total")
 )
 
@@ -54,56 +54,23 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 		s.lotMu.Unlock()
 		return nil, false
 	}
+	s.unparkLocked(ps)
+	s.lotMu.Unlock()
 	if now.After(ps.deadline) {
-		delete(s.lot, token)
-		mSessParkedNow.Dec()
-		lotBytesAdd(ps, -1)
-		s.lotMu.Unlock()
 		s.expire(ps, now)
 		return nil, false
 	}
-	// Claim-style extraction: mark the entry so no resume handshake or
-	// janitor touches it, then wait out a compression turn mid-read on
-	// the shadow (same protocol as claimParked).
-	ps.claimed = true
-	packing := ps.compressing
-	s.lotMu.Unlock()
-	if packing != nil {
-		<-packing
-	}
-	s.lotMu.Lock()
-	if s.lot[token] != ps {
-		// Drained underneath the claim (server shutdown): the lot already
-		// settled the entry.
-		s.lotMu.Unlock()
-		return nil, false
-	}
-	delete(s.lot, token)
-	mSessParkedNow.Dec()
-	lotBytesAdd(ps, -1)
-	s.lotMu.Unlock()
 
-	// The record ships the shadow in its cold form; a freshly parked
-	// entry whose compression turn has not landed yet packs here.
-	shadow := ps.packed
-	if shadow == nil && ps.ws != nil {
-		if p, err := ps.ws.Pack(); err == nil {
-			shadow = p
-		}
-	}
 	rec := &rfb.MigrationRecord{
 		Token: ps.token,
 		W:     ps.w, H: ps.h,
-		Shadow:       shadow,
+		PF:           ps.pf,
 		Dirty:        ps.dirty.TakeInto(nil),
 		Pending:      ps.pending,
 		HasPending:   ps.hasPending,
 		LastPtrMask:  ps.lastPtrMask,
 		RemainingTTL: ps.deadline.Sub(now),
 		DetachedFor:  now.Sub(ps.parkedAt),
-	}
-	if shadow != nil {
-		rec.PF, rec.PFSet = shadow.PixelFormat()
 	}
 	for _, ev := range ps.events {
 		// Enqueue timestamps and trace ids are node-local; the target
@@ -119,7 +86,7 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 // ImportParked installs a migration record into this server's detach
 // lot, making the shipped session resumable here. The entry keeps the
 // remaining TTL it left the source with (migration never extends a
-// session's life) and its shadow stays cold until a resume thaws it.
+// session's life) and the pixel format its client negotiated.
 func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	if rec == nil || rec.Token == "" {
 		return errors.New("uniserver: import: empty migration record")
@@ -142,7 +109,7 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		pending:     rec.Pending,
 		hasPending:  rec.HasPending,
 		lastPtrMask: rec.LastPtrMask,
-		packed:      rec.Shadow,
+		pf:          rec.PF,
 		migrated:    true,
 		parkedAt:    now.Add(-rec.DetachedFor),
 		deadline:    now.Add(ttl),
@@ -169,33 +136,14 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		return errors.New("uniserver: import: server closed")
 	}
 	s.lotMu.Lock()
-	if s.lot == nil {
-		s.lot = make(map[string]*parkedSession)
-	}
-	var oldest *parkedSession
-	if len(s.lot) >= s.parkCap {
-		for _, e := range s.lot {
-			if !e.claimed && (oldest == nil || e.parkedAt.Before(oldest.parkedAt)) {
-				oldest = e
-			}
-		}
-		if oldest != nil {
-			delete(s.lot, oldest.token)
-			mSessParkedNow.Dec()
-			lotBytesAdd(oldest, -1)
-		}
-	}
-	s.lot[ps.token] = ps
-	lotBytesAdd(ps, +1)
-	s.scheduleSweepLocked(ps.deadline)
+	evicted := s.parkLocked(ps)
 	s.lotMu.Unlock()
 	s.pumpMu.Unlock()
 
-	if oldest != nil {
-		s.expire(oldest, now)
+	if evicted != nil {
+		s.expire(evicted, now)
 	}
 	mSessMigratedIn.Inc()
-	mSessParkedNow.Inc()
 	return nil
 }
 

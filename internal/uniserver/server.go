@@ -164,16 +164,6 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	// on this connection can attach the hub_route stage.
 	routeStart, routeEnd, _ := trace.RouteSpan(conn)
 	var reclaimed *parkedSession
-	ex := func(presented string) (string, bool) {
-		if s.parkTTL > 0 && presented != "" {
-			if ps := s.claimParked(presented, w, h); ps != nil {
-				reclaimed = ps
-				return presented, true
-			}
-			mSessResumeMiss.Inc()
-		}
-		return newSessionToken(), false
-	}
 	// The handshake is bounded: a peer that stalls mid-handshake (after
 	// presenting a resume token, say) must fail within the deadline so
 	// its claim releases and the parked session stays reclaimable —
@@ -182,7 +172,7 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	// conn deadline: a process full of mid-handshake peers arms O(1) OS
 	// timers, and transports without deadline support work too.
 	hsTimer := sched.Shared().AfterFunc(HandshakeTimeout, func() { conn.Close() })
-	rc, err := rfb.NewServerConnToken(conn, w, h, s.name, ex)
+	rc, err := rfb.NewServerConnToken(conn, w, h, s.name, s.exchange(w, h, &reclaimed))
 	hsTimer.Stop()
 	if err != nil {
 		if reclaimed != nil {
@@ -243,6 +233,23 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	return err
 }
 
+// exchange is the handshake's resume-token exchange for a w×h session: a
+// live token claims its parked session into *reclaimed and hands the
+// handshake the format that session negotiated; anything else gets a
+// fresh token.
+func (s *Server) exchange(w, h int, reclaimed **parkedSession) rfb.TokenExchange {
+	return func(presented string) (string, bool, gfx.PixelFormat) {
+		if s.parkTTL > 0 && presented != "" {
+			if ps := s.claimParked(presented, w, h); ps != nil {
+				*reclaimed = ps
+				return presented, true, ps.pf
+			}
+			mSessResumeMiss.Inc()
+		}
+		return newSessionToken(), false, gfx.PixelFormat{}
+	}
+}
+
 // Serve accepts proxy connections from ln until the listener closes.
 func (s *Server) Serve(ln net.Listener) error {
 	for {
@@ -285,6 +292,25 @@ func (s *Server) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
+}
+
+// Idle reports whether every live session is waiting on its client: an
+// update request parked, and no request, reply or requested damage left
+// for the writer. A caller that also sees its client's traffic hold still
+// knows the last exchange completed, rather than inferring it from
+// silence while an update is still being encoded.
+func (s *Server) Idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sess := range s.sessions {
+		sess.mu.Lock()
+		idle := sess.hasPending && len(sess.reqs) == 0 && sess.outbox.Empty() && sess.owedEmpty == 0
+		sess.mu.Unlock()
+		if !idle {
+			return false
+		}
+	}
+	return true
 }
 
 // pump runs after the display accumulated new damage: render once, then
@@ -397,6 +423,13 @@ type session struct {
 	hasPending bool
 	outbox     *gfx.Damage // requested damage awaiting the writer
 	owedEmpty  int         // zero-rect replies owed (empty-region requests)
+	// unacked holds the rects of updates shipped after the last request
+	// read: a transport that dies now may have swallowed them, so retire
+	// folds them back into the parked damage. Reading a request clears
+	// it, since a demand-driven client asks again only after applying
+	// what it got; the writer records an update only once it has shipped,
+	// so a request read mid-send never clears it.
+	unacked []gfx.Rect
 
 	// fedResync marks a session resumed from a MIGRATED lot entry: the
 	// first update it ships is the cross-node resync, counted into
@@ -405,11 +438,12 @@ type session struct {
 
 	// ws is the wire tier's model of the client (shadow framebuffer +
 	// tile window); writer-turn-only. Unlike turn scratch it is client
-	// STATE, not scratch — it parks with the session and is Reset
-	// whenever the model can no longer be trusted (resume, encode error,
-	// failed send). Drain and encode scratch is NOT pinned here: writer
-	// turns check a turnScratch out of the central pool, so that memory
-	// scales with concurrent turns, not sessions.
+	// STATE, not scratch — it lives as long as the connection (a parked
+	// session drops it) and is Reset whenever the model can no longer be
+	// trusted (resume, encode error, failed send). Drain and encode
+	// scratch is NOT pinned here: writer turns check a turnScratch out of
+	// the central pool, so that memory scales with concurrent turns, not
+	// sessions.
 	ws *rfb.WireState
 }
 
@@ -572,6 +606,9 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 	}
 	mUpdatesSent.Inc()
 	mUpdateBytes.Add(int64(size))
+	c.mu.Lock()
+	c.unacked = append(c.unacked, rects...)
+	c.mu.Unlock()
 	if c.fedResync {
 		c.fedResync = false
 		mFedResyncBytes.Add(int64(size))
@@ -654,6 +691,7 @@ func (c *session) CutText(string) {}
 func (c *session) UpdateRequest(req rfb.UpdateRequest) {
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
+	c.unacked = c.unacked[:0]
 	c.mu.Unlock()
 	c.wake()
 }

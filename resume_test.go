@@ -136,13 +136,15 @@ func (st *resumeStack) dropLink() {
 }
 
 // settle waits for protocol quiescence on the current connection: the
-// byte counter must hold still across several polls (a single quiet poll
-// is not quiescence when the peer is mid-render under -race).
+// server must be idle (the client re-armed after the last update, and no
+// update is being encoded) and the byte counter must hold still across
+// several polls (a single quiet poll is not quiescence when the peer is
+// mid-render under -race).
 func (st *resumeStack) settle() {
 	prev, stable := int64(-1), 0
 	for stable < 3 {
 		cur := st.sup.Proxy().Client().BytesReceived()
-		if cur == prev {
+		if cur == prev && st.srv.Idle() {
 			stable++
 		} else {
 			stable = 0
