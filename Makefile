@@ -25,8 +25,10 @@ BENCH_PKGS ?= . ./internal/sched
 # averages the noise out; these benches are all fast, so the extra wall
 # time is small. The Input* set pins the batched/coalesced input pipeline
 # at zero allocations per event end to end (wire write, read loop, queue,
-# dispatch).
-GATE_BENCH_MICRO ?= BenchmarkRenderWidget|BenchmarkRenderText|BenchmarkE2bRender|BenchmarkInputBatch|BenchmarkInputCoalesce|BenchmarkInputFlood|BenchmarkE2bInput|BenchmarkTraceOverhead|BenchmarkTimerWheel
+# dispatch). BenchmarkPresentKeypress pins the damage-driven present path:
+# its srcpx/op is the desktop pixels the phone plug-in re-reads per focus
+# move (a whole-frame conversion would read 76800).
+GATE_BENCH_MICRO ?= BenchmarkRenderWidget|BenchmarkPresentKeypress|BenchmarkRenderText|BenchmarkE2bRender|BenchmarkInputBatch|BenchmarkInputCoalesce|BenchmarkInputFlood|BenchmarkE2bInput|BenchmarkTraceOverhead|BenchmarkTimerWheel
 BENCHTIME_MICRO  ?= 10000x
 # ns/op headroom: generous because wall time shifts with hardware, still
 # far under the 2x-regression class the gate exists to catch. allocs/op is

@@ -380,7 +380,7 @@ func BenchmarkE3OutputConvert(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := pl.Convert(frame)
+				f := pl.Convert(frame, nil)
 				if f.W == 0 {
 					b.Fatal("empty frame")
 				}
@@ -630,7 +630,7 @@ func BenchmarkE9Ablation(b *testing.B) {
 					b.Fatal(err)
 				}
 				for j := 0; j < k; j++ {
-					pdaPlugin.Convert(frame)
+					pdaPlugin.Convert(frame, nil)
 				}
 			}
 		})
@@ -638,7 +638,7 @@ func BenchmarkE9Ablation(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < k; j++ {
-					f := pdaPlugin.Convert(frame)
+					f := pdaPlugin.Convert(frame, nil)
 					if _, err := rfb.EncodeRectBytes(rfb.EncHextile, f.RGB, f.RGB.Bounds(), pf); err != nil {
 						b.Fatal(err)
 					}

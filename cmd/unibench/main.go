@@ -549,7 +549,7 @@ func e3(reps int) {
 		var total time.Duration
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			p.pl.Convert(frame)
+			p.pl.Convert(frame, nil)
 			total += time.Since(start)
 		}
 		per := total / time.Duration(reps)
@@ -807,13 +807,13 @@ func e9(reps int) {
 			start := time.Now()
 			_, _ = rfb.EncodeRectBytes(rfb.EncHextile, frame, frame.Bounds(), pf)
 			for j := 0; j < k; j++ {
-				pl.Convert(frame)
+				pl.Convert(frame, nil)
 			}
 			proxySide += time.Since(start)
 
 			start = time.Now()
 			for j := 0; j < k; j++ {
-				f := pl.Convert(frame)
+				f := pl.Convert(frame, nil)
 				_, _ = rfb.EncodeRectBytes(rfb.EncHextile, f.RGB, f.RGB.Bounds(), pf)
 			}
 			serverSide += time.Since(start)

@@ -37,13 +37,29 @@ type Frame struct {
 // "The output plug-in module contains a code to convert bitmap images
 // received from a UniInt server to images that can be displayed on the
 // screen of the target output device."
+//
+// Conversion is damage-driven. A plug-in may keep the previous conversion
+// (a scaled image, the dither's error carry) and redo only what an update
+// changed. Each OutputDevice.OutputPlugin call returns a fresh instance;
+// the proxy binds one instance to one output binding and calls Convert
+// only under its present lock, so an instance needs no locking of its own.
 type OutputPlugin interface {
 	// Name identifies the plug-in module.
 	Name() string
-	// Convert renders the full server framebuffer into a device frame.
-	// It runs with the proxy's shadow framebuffer locked and must not
-	// retain fb.
-	Convert(fb *gfx.Framebuffer) Frame
+	// Convert renders the server framebuffer into a device frame.
+	//
+	// damage lists the rectangles of fb written since this instance's
+	// previous Convert; fb is unchanged outside them. nil damage means
+	// "convert the whole framebuffer": the proxy passes it on a binding's
+	// first present, on RefreshOutput, when the binding missed a present
+	// and when the shadow was rewritten outside an update. A plug-in may
+	// always treat damage as a hint and convert everything.
+	//
+	// Convert runs with the proxy's shadow framebuffer locked and must
+	// retain neither fb nor damage. The returned Frame belongs to the
+	// device: later Convert calls must never modify it, so a plug-in that
+	// keeps state hands out copies.
+	Convert(fb *gfx.Framebuffer, damage []gfx.Rect) Frame
 	// PixelFormat returns the wire pixel format the proxy should request
 	// from the server while this device is selected — a phone-class
 	// device has no use for 32-bit color, and the cheaper format saves
@@ -75,7 +91,8 @@ type OutputDevice interface {
 	// Class names the device category: "pda", "phone", "tv".
 	Class() string
 	// OutputPlugin returns the conversion module the device transmits to
-	// the proxy.
+	// the proxy: a fresh instance per call, since a plug-in may keep
+	// per-binding conversion state.
 	OutputPlugin() OutputPlugin
 	// Present delivers a converted frame. Implementations must not block:
 	// slow devices drop to latest-wins.

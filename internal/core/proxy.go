@@ -22,6 +22,7 @@ var (
 	mDroppedRaw     = metrics.Default().Counter("proxy_dropped_events_total")
 	mUniSent        = metrics.Default().Counter("proxy_universal_events_total")
 	mFrames         = metrics.Default().Counter("proxy_frames_presented_total")
+	mPresentFull    = metrics.Default().Counter("proxy_present_full_total") // nil-damage converts: 1 - full/frames is incremental
 	mPresentSeconds = metrics.Default().Histogram("proxy_present_seconds", metrics.LatencyBuckets())
 
 	// Input-pipeline instruments (proxy half). Batches are transport
@@ -85,6 +86,10 @@ type Proxy struct {
 	// zero-allocation discipline, proxy side).
 	presentTargets []*outputBinding
 	presentFrames  []Frame
+	// presents numbers presentCurrent calls (guarded by presentMu). A
+	// binding converted at the previous one is the only kind whose
+	// plug-in state is current up to the next update's damage.
+	presents uint64
 
 	stats proxyStats
 }
@@ -99,6 +104,10 @@ type outputBinding struct {
 	dev    OutputDevice
 	plugin OutputPlugin
 	seq    atomic.Uint64
+	// The present and shadow generation the plug-in last converted at
+	// (guarded by presentMu; converted 0 = never).
+	converted uint64
+	shadowGen uint64
 }
 
 type proxyStats struct {
@@ -743,12 +752,12 @@ type proxyHandler struct{ p *Proxy }
 
 var _ rfb.ClientHandler = proxyHandler{}
 
-// Updated implements rfb.ClientHandler: convert the fresh shadow
-// framebuffer for the selected output device, present it, and keep the
-// demand-driven update loop rolling by signalling the re-arm goroutine
-// (classic thin-client viewer behaviour, off the read path).
+// Updated implements rfb.ClientHandler: convert what the update changed in
+// the shadow framebuffer for the selected output device, present it, and
+// keep the demand-driven update loop rolling by signalling the re-arm
+// goroutine (classic thin-client viewer behaviour, off the read path).
 func (h proxyHandler) Updated(rects []gfx.Rect) {
-	h.p.presentCurrent()
+	h.p.presentCurrent(rects)
 	select {
 	case h.p.rearm <- struct{}{}:
 	default: // a re-arm is already pending
@@ -762,12 +771,16 @@ func (proxyHandler) Bell() {}
 func (proxyHandler) CutText(string) {}
 
 // presentCurrent converts the shadow framebuffer with the active output
-// plug-in (and each mirror's plug-in) and delivers the frames. Presents
-// are serialized: the target snapshot and the deliveries happen under
-// presentMu so RemoveMirror can use it as a barrier.
-func (p *Proxy) presentCurrent() {
+// plug-in (and each mirror's plug-in) and delivers the frames. damage is
+// what the shadow gained since the previous present (nil = unknown). Only
+// a binding converted at the previous present, with no AdoptShadow since,
+// can convert just the damage; every other binding gets nil and converts
+// whole. Presents are serialized: the target snapshot and the deliveries
+// happen under presentMu so RemoveMirror can use it as a barrier.
+func (p *Proxy) presentCurrent(damage []gfx.Rect) {
 	p.presentMu.Lock()
 	defer p.presentMu.Unlock()
+	p.presents++
 	p.mu.Lock()
 	targets := p.presentTargets[:0]
 	if b := p.outputs[p.activeOut]; b != nil {
@@ -793,8 +806,17 @@ func (p *Proxy) presentCurrent() {
 	}
 	p.presentFrames = frames
 	p.client.WithFramebuffer(func(fb *gfx.Framebuffer) {
+		gen := p.client.ShadowGen()
 		for i, b := range targets {
-			frames[i] = b.plugin.Convert(fb)
+			d := damage
+			if b.converted == 0 || b.converted != p.presents-1 || b.shadowGen != gen {
+				d = nil
+			}
+			if d == nil {
+				mPresentFull.Inc()
+			}
+			frames[i] = b.plugin.Convert(fb, d)
+			b.converted, b.shadowGen = p.presents, gen
 		}
 	})
 	for i, b := range targets {
@@ -808,4 +830,4 @@ func (p *Proxy) presentCurrent() {
 
 // RefreshOutput forces a full-frame conversion and presentation without
 // waiting for server damage (used right after attaching a display).
-func (p *Proxy) RefreshOutput() { p.presentCurrent() }
+func (p *Proxy) RefreshOutput() { p.presentCurrent(nil) }

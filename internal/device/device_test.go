@@ -45,7 +45,7 @@ func TestPDAOutputPluginGeometry(t *testing.T) {
 	pl := NewPDA("p").OutputPlugin()
 	fb := gfx.NewFramebuffer(640, 480)
 	fb.Clear(gfx.Blue)
-	f := pl.Convert(fb)
+	f := pl.Convert(fb, nil)
 	if f.W != PDAWidth || f.H != PDAHeight || f.RGB == nil || f.Bits != nil {
 		t.Fatalf("frame = %dx%d rgb=%v", f.W, f.H, f.RGB != nil)
 	}
@@ -90,7 +90,7 @@ func TestPhoneOutputPluginDithers(t *testing.T) {
 	pl := NewPhone("p").OutputPlugin()
 	fb := gfx.NewFramebuffer(640, 480)
 	fb.Clear(gfx.RGB(128, 128, 128))
-	f := pl.Convert(fb)
+	f := pl.Convert(fb, nil)
 	if f.W != PhoneWidth || f.H != PhoneHeight || f.Bits == nil || f.RGB != nil {
 		t.Fatalf("frame = %+v", f)
 	}
@@ -109,7 +109,7 @@ func TestTVDisplayPassthrough(t *testing.T) {
 	pl := tv.OutputPlugin()
 	fb := gfx.NewFramebuffer(640, 480)
 	fb.Fill(gfx.R(10, 10, 5, 5), gfx.Red)
-	f := pl.Convert(fb)
+	f := pl.Convert(fb, nil)
 	if f.W != TVWidth || f.H != TVHeight {
 		t.Fatalf("geometry %dx%d", f.W, f.H)
 	}

@@ -110,7 +110,7 @@ func TestTVDisplayScalesOddSources(t *testing.T) {
 	pl := NewTVDisplay("t").OutputPlugin()
 	src := gfx.NewFramebuffer(320, 200) // not the TV's native size
 	src.Clear(gfx.Green)
-	f := pl.Convert(src)
+	f := pl.Convert(src, nil)
 	if f.W != TVWidth || f.H != TVHeight {
 		t.Fatalf("geometry %dx%d", f.W, f.H)
 	}

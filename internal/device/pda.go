@@ -42,7 +42,7 @@ func (p *PDA) InputPlugin() core.InputPlugin {
 }
 
 // OutputPlugin implements core.OutputDevice.
-func (p *PDA) OutputPlugin() core.OutputPlugin { return pdaOutputPlugin{} }
+func (p *PDA) OutputPlugin() core.OutputPlugin { return &pdaOutputPlugin{} }
 
 // Events implements core.InputDevice.
 func (p *PDA) Events() <-chan core.RawEvent { return p.em.events() }
@@ -114,16 +114,22 @@ func (pl *pdaInputPlugin) Translate(ev core.RawEvent) []core.UniEvent {
 }
 
 // pdaOutputPlugin downscales the desktop to the PDA panel with box
-// filtering (keeping text legible) and asks for 16-bit wire pixels.
-type pdaOutputPlugin struct{}
+// filtering (keeping text legible) and asks for 16-bit wire pixels. It
+// keeps the scaled image and re-averages only the damaged boxes; each
+// frame is a copy, since the device keeps the frames it was handed.
+type pdaOutputPlugin struct{ scaled *gfx.Framebuffer }
 
-var _ core.OutputPlugin = pdaOutputPlugin{}
+var _ core.OutputPlugin = (*pdaOutputPlugin)(nil)
 
-func (pdaOutputPlugin) Name() string { return "pda-lcd" }
+func (*pdaOutputPlugin) Name() string { return "pda-lcd" }
 
-func (pdaOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF16() }
+func (*pdaOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF16() }
 
-func (pdaOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
-	scaled := gfx.ScaleBox(fb, PDAWidth, PDAHeight)
-	return core.Frame{W: PDAWidth, H: PDAHeight, RGB: scaled}
+func (pl *pdaOutputPlugin) Convert(fb *gfx.Framebuffer, damage []gfx.Rect) core.Frame {
+	if pl.scaled == nil {
+		pl.scaled = gfx.NewFramebuffer(PDAWidth, PDAHeight)
+		damage = nil
+	}
+	gfx.RescaleBox(pl.scaled, fb, damage)
+	return core.Frame{W: PDAWidth, H: PDAHeight, RGB: pl.scaled.Clone()}
 }

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"sync/atomic"
+
 	"uniint/internal/core"
 	"uniint/internal/gfx"
 	"uniint/internal/rfb"
@@ -18,9 +20,10 @@ const (
 // their input interaction devices, and television displays as his/her
 // output interaction devices."
 type Phone struct {
-	id string
-	em *emitter
-	sc *screen
+	id    string
+	em    *emitter
+	sc    *screen
+	srcPx atomic.Int64 // source pixels the LCD plug-ins re-averaged
 }
 
 var (
@@ -43,7 +46,7 @@ func (p *Phone) Class() string { return "phone" }
 func (p *Phone) InputPlugin() core.InputPlugin { return &phoneInputPlugin{} }
 
 // OutputPlugin implements core.OutputDevice.
-func (p *Phone) OutputPlugin() core.OutputPlugin { return phoneOutputPlugin{} }
+func (p *Phone) OutputPlugin() core.OutputPlugin { return &phoneOutputPlugin{srcPx: &p.srcPx} }
 
 // Events implements core.InputDevice.
 func (p *Phone) Events() <-chan core.RawEvent { return p.em.events() }
@@ -59,6 +62,11 @@ func (p *Phone) FrameCount() int64 { return p.sc.FrameCount() }
 
 // WaitFrames blocks until n frames have been presented.
 func (p *Phone) WaitFrames(n int64) core.Frame { return p.sc.WaitFrames(n) }
+
+// SourcePixels reports how many server pixels the phone's output
+// plug-ins have re-averaged, summed over every conversion: the work
+// damage-driven conversion saves shows up here.
+func (p *Phone) SourcePixels() int64 { return p.srcPx.Load() }
 
 // Dropped reports input events lost to backpressure.
 func (p *Phone) Dropped() int64 { return p.em.Dropped() }
@@ -128,16 +136,35 @@ func (phoneInputPlugin) Translate(ev core.RawEvent) []core.UniEvent {
 // box-downscale, then Floyd–Steinberg dithering. It requests 8-bit wire
 // pixels — the cheapest true-color format — since the LCD discards color
 // anyway (bandwidth effect measured in E8).
-type phoneOutputPlugin struct{}
+//
+// It keeps the scaled image between conversions: a damaged update
+// re-averages only the LCD pixels whose source boxes it touched, and the
+// dither resumes at the first LCD row whose scaled value changed.
+type phoneOutputPlugin struct {
+	scaled *gfx.Framebuffer
+	dither gfx.Ditherer
+	srcPx  *atomic.Int64
+}
 
-var _ core.OutputPlugin = phoneOutputPlugin{}
+var _ core.OutputPlugin = (*phoneOutputPlugin)(nil)
 
-func (phoneOutputPlugin) Name() string { return "phone-lcd" }
+func (*phoneOutputPlugin) Name() string { return "phone-lcd" }
 
-func (phoneOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF8() }
+func (*phoneOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF8() }
 
-func (phoneOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
-	scaled := gfx.ScaleBox(fb, PhoneWidth, PhoneHeight)
-	bits := gfx.FloydSteinberg(scaled)
-	return core.Frame{W: PhoneWidth, H: PhoneHeight, Bits: bits}
+func (pl *phoneOutputPlugin) Convert(fb *gfx.Framebuffer, damage []gfx.Rect) core.Frame {
+	if pl.scaled == nil {
+		pl.scaled = gfx.NewFramebuffer(PhoneWidth, PhoneHeight)
+		damage = nil
+	}
+	changed, n := gfx.RescaleBox(pl.scaled, fb, damage)
+	pl.srcPx.Add(int64(n))
+	from := changed.Y
+	switch {
+	case damage == nil:
+		from = 0
+	case changed.Empty():
+		from = PhoneHeight
+	}
+	return core.Frame{W: PhoneWidth, H: PhoneHeight, Bits: pl.dither.Dither(pl.scaled, from)}
 }

@@ -49,7 +49,8 @@ func (t *TVDisplay) WaitFrames(n int64) core.Frame { return t.sc.WaitFrames(n) }
 
 // tvOutputPlugin is the passthrough conversion: the TV panel matches the
 // server desktop, so frames are cloned (the proxy's shadow buffer cannot
-// be retained) at full 32-bit color.
+// be retained) at full 32-bit color. Every frame is a whole new copy
+// anyway, so damage would save nothing and is ignored.
 type tvOutputPlugin struct{}
 
 var _ core.OutputPlugin = tvOutputPlugin{}
@@ -58,7 +59,7 @@ func (tvOutputPlugin) Name() string { return "tv-screen" }
 
 func (tvOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF32() }
 
-func (tvOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
+func (tvOutputPlugin) Convert(fb *gfx.Framebuffer, _ []gfx.Rect) core.Frame {
 	if fb.W() == TVWidth && fb.H() == TVHeight {
 		return core.Frame{W: TVWidth, H: TVHeight, RGB: fb.Clone()}
 	}

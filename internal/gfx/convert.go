@@ -86,25 +86,70 @@ func FloydSteinberg(src *Framebuffer) *Bitmap {
 	cur := make([]int32, src.w+2)
 	next := make([]int32, src.w+2)
 	for y := 0; y < src.h; y++ {
-		row := src.pix[y*src.w : (y+1)*src.w]
-		for i := range next {
-			next[i] = 0
-		}
-		for x := 0; x < src.w; x++ {
-			v := int32(row[x].Gray()) + cur[x+1]
-			var out int32
-			if v >= 128 {
-				out = 255
-				dst.Set(x, y, true)
-			}
-			e := v - out
-			cur[x+2] += e * 7 / 16
-			next[x] += e * 3 / 16
-			next[x+1] += e * 5 / 16
-			next[x+2] += e * 1 / 16
-		}
+		clear(next)
+		ditherRow(src.pix[y*src.w:(y+1)*src.w], cur, next, dst.Bits[y*dst.Stride:(y+1)*dst.Stride])
 		cur, next = next, cur
 	}
+	return dst
+}
+
+// ditherRow diffuses one row: cur holds the error carried into the row
+// (and takes the error pushed right along it), next accumulates the error
+// pushed into the row below, and bits receives the row's set pixels.
+func ditherRow(row []Color, cur, next []int32, bits []byte) {
+	for x, c := range row {
+		v := int32(c.Gray()) + cur[x+1]
+		var out int32
+		if v >= 128 {
+			out = 255
+			bits[x>>3] |= 0x80 >> uint(x&7)
+		}
+		e := v - out
+		cur[x+2] += e * 7 / 16
+		next[x] += e * 3 / 16
+		next[x+1] += e * 5 / 16
+		next[x+2] += e * 1 / 16
+	}
+}
+
+// Ditherer is FloydSteinberg that resumes part way down an image. Error
+// diffusion only flows down and to the right, so the rows above the first
+// changed row binarize as before: Dither copies them from its previous
+// result and restarts the diffusion from the error it saved for that row.
+// A Ditherer is not safe for concurrent use.
+type Ditherer struct {
+	prev  *Bitmap
+	carry []int32 // error carried into each row, w+2 entries per row
+	cur   []int32 // scratch: the carry of the row being diffused
+}
+
+// Dither returns FloydSteinberg(src). from is the first row of src that
+// may differ from the image the previous call dithered; rows above it are
+// copied. The first call, a call with new geometry or from <= 0 dithers
+// every row. Every call returns a new Bitmap and never touches one it
+// returned before.
+func (d *Ditherer) Dither(src *Framebuffer, from int) *Bitmap {
+	dst := NewBitmap(src.w, src.h)
+	if src.w == 0 || src.h == 0 {
+		return dst
+	}
+	n := src.w + 2
+	if d.prev == nil || d.prev.W != src.w || d.prev.H != src.h {
+		d.carry = make([]int32, (src.h+1)*n)
+		d.cur = make([]int32, n)
+		from = 0
+	}
+	from = min(max(from, 0), src.h)
+	if from > 0 {
+		copy(dst.Bits, d.prev.Bits[:from*dst.Stride])
+	}
+	for y := from; y < src.h; y++ {
+		copy(d.cur, d.carry[y*n:(y+1)*n])
+		next := d.carry[(y+1)*n : (y+2)*n]
+		clear(next)
+		ditherRow(src.pix[y*src.w:(y+1)*src.w], d.cur, next, dst.Bits[y*dst.Stride:(y+1)*dst.Stride])
+	}
+	d.prev = dst
 	return dst
 }
 

@@ -58,6 +58,7 @@ type ClientConn struct {
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
 	updatesRecv   atomic.Int64
+	shadowGen     atomic.Uint64 // AdoptShadow writes to fb (bumped under fmu)
 }
 
 // Dial performs the client side of the handshake over conn. On return the
@@ -202,8 +203,15 @@ func (c *ClientConn) AdoptShadow(prev *ClientConn) bool {
 		return false
 	}
 	copy(c.fb.Pix(), prev.fb.Pix())
+	c.shadowGen.Add(1)
 	return true
 }
+
+// ShadowGen counts the adoptions that rewrote the shadow framebuffer
+// outside an update. A reader that converted the shadow incrementally
+// compares it with the value it last saw: a change means its copy is stale
+// everywhere, not only inside the next update's rectangles.
+func (c *ClientConn) ShadowGen() uint64 { return c.shadowGen.Load() }
 
 // Size returns the server framebuffer geometry.
 func (c *ClientConn) Size() (w, h int) {
@@ -213,7 +221,8 @@ func (c *ClientConn) Size() (w, h int) {
 }
 
 // WithFramebuffer runs fn with the shadow framebuffer locked. fn must not
-// retain the pointer or call back into the connection.
+// modify the framebuffer, retain the pointer or call back into the
+// connection (ShadowGen, an atomic, is the exception).
 func (c *ClientConn) WithFramebuffer(fn func(fb *gfx.Framebuffer)) {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()

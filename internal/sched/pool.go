@@ -213,6 +213,15 @@ func (t *Task) Kick() {
 	}
 }
 
+// Halt prevents further turns without waiting for an in-flight one: a turn
+// running now finishes but is not re-run, and later kicks are ignored.
+// Stop still has to be called to wait the in-flight turn out.
+func (t *Task) Halt() {
+	t.mu.Lock()
+	t.stopReq = true
+	t.mu.Unlock()
+}
+
 // Stop prevents further turns and waits for an in-flight one to return:
 // after Stop, the task's fn is not running and will never run again.
 // Must not be called from the task's own turn (it would wait on itself).

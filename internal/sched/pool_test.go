@@ -139,6 +139,29 @@ func TestStopWaitsForInFlightTurn(t *testing.T) {
 	}
 }
 
+func TestHaltCancelsRerunWithoutWaiting(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	var turns atomic.Int32
+	task := p.NewTask(func() {
+		turns.Add(1)
+		entered <- struct{}{}
+		<-release
+	})
+	task.Kick()
+	<-entered
+	task.Kick() // asks for a rerun mid-turn
+	task.Halt() // returns while the turn is still blocked
+	task.Kick() // ignored after Halt
+	close(release)
+	task.Stop()
+	if got := turns.Load(); got != 1 {
+		t.Fatalf("ran %d turns, want 1: Halt must cancel the pending rerun", got)
+	}
+}
+
 func TestPoolGoRunsEachOnce(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

@@ -217,6 +217,10 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	}
 	err = rc.Serve(sess)
 
+	// Halt the dispatcher before the session stops counting as live: once
+	// server_sessions drops, no further input batch is taken, so input
+	// still queued parks with the session.
+	sess.dispatchTask.Halt()
 	mSessions.Dec()
 	rc.Close()
 	sess.writeTask.Stop()

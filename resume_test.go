@@ -334,12 +334,14 @@ func TestTraceSpansSurviveParkResume(t *testing.T) {
 		return metrics.Default().Counter("input_queued_total").Value()-queued0 >= 4
 	})
 
+	sessions := metrics.Default().Gauge("server_sessions")
+	live := sessions.Value()
 	st.dropLink()
-	// Let the dead link surface in the read loop (closing the session's
-	// quit channel) before opening the gate: the dispatcher must see the
-	// stop before taking another batch, so press B stays queued and
-	// retire parks it. The 250ms redial backoff leaves ample room.
-	time.Sleep(20 * time.Millisecond)
+	// Let the dead link surface in the read loop before opening the gate:
+	// the server halts the dispatcher before server_sessions drops, so
+	// press B stays queued and retire parks it. The 250ms redial backoff
+	// keeps the resumed session from raising the gauge again meanwhile.
+	waitCond(t, "read loop saw the dropped link", func() bool { return sessions.Value() < live })
 	close(release)
 
 	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
